@@ -2,7 +2,6 @@
 
 from repro.exact.bnb import BnBResult, branch_and_bound
 from repro.exact.dp import dp_load_vector, dp_two_machines, scale_to_integers
-from repro.exact.milp import milp_makespan
 from repro.exact.optimal import OptimalValue, optimal_makespan
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "dp_two_machines",
     "dp_load_vector",
     "scale_to_integers",
-    "milp_makespan",
     "optimal_makespan",
     "OptimalValue",
 ]

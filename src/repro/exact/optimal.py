@@ -6,10 +6,9 @@ strongest affordable method:
 
 1. trivial cases (``m == 1``, ``n <= m``) in closed form;
 2. the PARTITION bitset DP for ``m == 2`` with nice durations;
-3. branch-and-bound while the instance is within ``exact_limit``;
-4. the MILP solver (HiGHS) with a short time budget while the instance is
-   within ``milp_limit``;
-5. otherwise the best combined lower bound, flagged ``optimal=False``.
+3. the bin-completion search of :mod:`repro.exact.bnb` while the instance
+   is within ``exact_limit`` and the search within ``node_limit``;
+4. otherwise the best combined lower bound, flagged ``optimal=False``.
 
 Dividing by a *lower* bound over-estimates the ratio, so
 "measured ratio ≤ theoretical guarantee" checks remain sound even in the
@@ -49,9 +48,7 @@ def optimal_makespan(
     m: int,
     *,
     exact_limit: int = 22,
-    node_limit: int = 5_000_000,
-    milp_limit: int = 0,
-    milp_time_limit: float = 5.0,
+    node_limit: int = 60_000,
 ) -> OptimalValue:
     """Best affordable estimate of the clairvoyant optimum.
 
@@ -62,22 +59,17 @@ def optimal_makespan(
     m:
         Machine count.
     exact_limit:
-        Largest ``n`` for which branch-and-bound is attempted.
+        Largest ``n`` for which the exact search is attempted.
     node_limit:
-        Node budget handed to the branch-and-bound; if exceeded the result
-        degrades to the next method rather than raising.
-    milp_limit:
-        Largest ``n`` for which the MILP solver is attempted after the
-        branch-and-bound regime (``0`` disables — the default, since the
-        MILP can spend its full ``milp_time_limit`` on hard instances and
-        harness loops prefer the instant lower bound).
-    milp_time_limit:
-        Wall-clock budget (seconds) for one MILP attempt.
+        Work budget handed to :func:`~repro.exact.bnb.branch_and_bound`
+        (units of :attr:`~repro.exact.bnb.BnBResult.nodes`, roughly 0.1 ms
+        of CPU each: the default gives up on an instance it cannot
+        certify after 4-8 s); if exceeded the result degrades to the lower
+        bound rather than raising.
     """
     ts = check_times(times)
     check_machine_count(m)
     check_non_negative_int(exact_limit, "exact_limit")
-    check_non_negative_int(milp_limit, "milp_limit")
     n = len(ts)
 
     if m == 1:
@@ -93,14 +85,6 @@ def optimal_makespan(
         try:
             res = branch_and_bound(ts, m, node_limit=node_limit)
             return OptimalValue(res.makespan, True, "bnb")
-        except RuntimeError:
-            pass
-    if n <= milp_limit:
-        from repro.exact.milp import milp_makespan
-
-        try:
-            res = milp_makespan(ts, m, time_limit=milp_time_limit)
-            return OptimalValue(res.makespan, True, "milp")
         except RuntimeError:
             pass
     return OptimalValue(combined_lower_bound(ts, m), False, "lower_bound")

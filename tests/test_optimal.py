@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.exact.bnb import branch_and_bound
 from repro.exact.optimal import optimal_makespan
 from repro.schedulers.lower_bounds import combined_lower_bound
 from repro.schedulers.lpt import lpt_schedule
+from repro.uncertainty import sample_realization
+from repro.workloads.generators import generate
 from tests.conftest import estimates_strategy
 
 
@@ -47,24 +50,6 @@ class TestMethodSelection:
         assert r.method == "lower_bound"
         assert not r.optimal
 
-    def test_milp_regime(self):
-        """With milp_limit enabled, medium instances get exact optima from
-        the MILP path and agree with branch-and-bound."""
-        times = [float(3 + (j * 13) % 7) for j in range(26)]
-        r = optimal_makespan(times, 4, exact_limit=10, milp_limit=30)
-        assert r.method == "milp"
-        assert r.optimal
-        # Sandwich the MILP optimum between the combined lower bound and
-        # LPT (agreement with B&B is covered at smaller n, where B&B's
-        # node budget survives the heavy value ties of this instance).
-        assert combined_lower_bound(times, 4) <= r.value * (1 + 1e-9)
-        assert r.value <= lpt_schedule(times, 4).makespan * (1 + 1e-9)
-
-    def test_milp_disabled_by_default(self):
-        times = [float(3 + (j * 13) % 7) for j in range(26)]
-        r = optimal_makespan(times, 4, exact_limit=10)
-        assert r.method == "lower_bound"
-
 
 class TestSoundness:
     @given(estimates_strategy(1, 10), st.integers(min_value=1, max_value=4))
@@ -78,6 +63,46 @@ class TestSoundness:
         """When two exact paths apply, they must agree."""
         r = optimal_makespan(times, m, exact_limit=12)
         if r.optimal and m == 2 and len(times) > m:
-            from repro.exact.bnb import branch_and_bound
-
             assert r.value == pytest.approx(branch_and_bound(times, 2).makespan)
+
+
+#: Optima of perfbench's exact_grid pools under ``log_uniform`` realization
+#: seed 1.  The position-order branch-and-bound that the bin-completion
+#: search replaced certified the exponential ones within its 5M-node
+#: default; the uniform ones exhausted that budget, and it confirmed their
+#: values at 10.6M-88.5M nodes.
+HARD_SET = {
+    ("uniform", 22, 4, 0): 27.143119863417905,
+    ("uniform", 22, 4, 2): 26.433103222214537,
+    ("uniform", 22, 4, 3): 28.61126037899867,
+    ("uniform", 22, 4, 4): 37.45818995106366,
+    ("uniform", 22, 4, 5): 31.30049733309166,
+    ("uniform", 22, 4, 7): 31.246893574257562,
+    ("uniform", 22, 4, 8): 30.93995645421606,
+    ("uniform", 22, 4, 10): 33.73109077449177,
+    ("uniform", 22, 4, 11): 28.507648614954135,
+    ("exponential", 21, 6, 21): 22.372133086392495,
+    ("exponential", 21, 6, 51): 17.108440776896895,
+    ("exponential", 21, 6, 68): 15.929758403269231,
+    ("exponential", 21, 6, 95): 14.789507743332916,
+    ("exponential", 21, 6, 100): 17.147737027728404,
+    ("exponential", 21, 6, 114): 12.971931192590144,
+    ("exponential", 21, 6, 115): 16.482700278452455,
+    ("exponential", 21, 6, 138): 23.340500957572853,
+    ("exponential", 21, 6, 148): 17.63597803646707,
+}
+#: Work the whole hard set may take (1121 units when pinned).
+NODE_CEILING = 2_500
+
+
+class TestHardSet:
+    """Instances the old search could not certify, or only slowly."""
+
+    def test_certified_with_default_limits(self):
+        total = 0
+        for (family, n, m, seed), value in HARD_SET.items():
+            times = sample_realization(generate(family, n, m, 2.0, seed), "log_uniform", 1).actuals
+            r = optimal_makespan(times, m)
+            assert (r.method, r.value) == ("bnb", value), (family, seed)
+            total += branch_and_bound(times, m).nodes
+        assert total <= NODE_CEILING
