@@ -1,20 +1,11 @@
-"""Dynamic-programming exact solvers for :math:`P||C_{max}`.
-
-Two complementary DPs, both exact:
+"""Dynamic-programming exact solver for :math:`P2||C_{max}`.
 
 ``dp_two_machines``
     For ``m == 2`` the problem is PARTITION: minimize the larger side.
     A subset-sum bitset DP over scaled-integer durations runs in
     ``O(n * S)`` bit-operations (``S`` = scaled total) and handles hundreds
-    of tasks, far beyond the branch-and-bound.
-
-``dp_load_vector``
-    For general ``m``: enumerate reachable *sorted* load vectors after
-    each task (state = non-decreasing tuple of machine loads).  Sorting
-    collapses machine symmetry; dominance pruning (a vector dominated
-    component-wise by another is dropped) keeps the frontier small for the
-    tiny instances the property tests use for cross-validation against the
-    branch-and-bound.
+    of tasks.  The property tests cross-check the branch-and-bound
+    against it.
 """
 
 from __future__ import annotations
@@ -22,9 +13,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from repro._validation import check_machine_count, check_times
+from repro._validation import check_times
 
-__all__ = ["dp_two_machines", "dp_load_vector", "scale_to_integers"]
+__all__ = ["dp_two_machines", "scale_to_integers"]
 
 
 def scale_to_integers(times: Sequence[float], *, max_denominator: int = 10**6) -> list[int]:
@@ -79,53 +70,3 @@ def dp_two_machines(times: Sequence[float]) -> float:
     best = reachable.bit_length() - 1
     scale = total / sum(ts)
     return (total - best) / scale
-
-
-def dp_load_vector(times: Sequence[float], m: int, *, state_limit: int = 2_000_000) -> float:
-    """Exact makespan by frontier search over sorted load vectors.
-
-    Works on float durations directly.  States are the sorted tuples of
-    machine loads reachable after placing a prefix of the tasks (largest
-    first); dominated states are pruned.  ``state_limit`` caps the frontier
-    to keep the solver honest about its applicable range.
-    """
-    ts = check_times(times)
-    check_machine_count(m)
-    if m == 1:
-        return sum(ts)
-    if m >= len(ts):
-        return max(ts)
-    order = sorted(ts, reverse=True)
-    frontier: set[tuple[float, ...]] = {tuple([0.0] * m)}
-    for t in order:
-        nxt: set[tuple[float, ...]] = set()
-        for state in frontier:
-            prev = None
-            for i in range(m):
-                if state[i] == prev:
-                    continue  # identical load ⇒ same child
-                prev = state[i]
-                child = sorted(state[:i] + (state[i] + t,) + state[i + 1:])
-                nxt.add(tuple(child))
-        frontier = _prune_dominated(nxt)
-        if len(frontier) > state_limit:
-            raise RuntimeError(
-                f"dp_load_vector frontier exceeded {state_limit} states "
-                f"(n={len(ts)}, m={m}); use branch_and_bound"
-            )
-    return min(max(state) for state in frontier)
-
-
-def _prune_dominated(states: set[tuple[float, ...]]) -> set[tuple[float, ...]]:
-    """Drop states dominated component-wise by another state.
-
-    Sorted load vectors compare meaningfully component-wise: if
-    ``a[i] <= b[i]`` for all ``i`` then any completion of ``b`` is matched
-    or beaten by the same completion of ``a``.
-    """
-    ordered = sorted(states)  # lexicographic; a dominator sorts earlier
-    kept: list[tuple[float, ...]] = []
-    for s in ordered:
-        if not any(all(k[i] <= s[i] for i in range(len(s))) for k in kept):
-            kept.append(s)
-    return set(kept)

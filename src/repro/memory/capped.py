@@ -127,25 +127,34 @@ class CappedReplication(TwoPhaseStrategy):
             loads[i] += instance.tasks[j].estimate
 
         # Spend the remaining capacity on replicas, largest tasks first,
-        # round-robin so the budget spreads over the heavy tasks.
-        order = instance.lpt_order()
-        progressed = True
-        while progressed:
-            progressed = False
-            for j in order:
+        # round-robin so the budget spreads over the heavy tasks.  Each
+        # replica goes to the least-loaded machine with room.  ``loads``
+        # never changes, so that is the first fitting machine in one fixed
+        # order; ``mem`` and the machine sets only grow, so a machine a
+        # task walked past stays unusable for it.  Each task therefore
+        # resumes its walk where the last one stopped, and leaves the
+        # rounds once the walk runs out of machines.
+        m = instance.m
+        by_load = sorted(range(m), key=lambda i: (loads[i], i))
+        cap = self.capacity * (1 + 1e-12)
+        resume = [0] * instance.n
+        active = instance.lpt_order()
+        while active:
+            still_active = []
+            for j in active:
                 size = instance.tasks[j].size
-                candidates = [
-                    i
-                    for i in range(instance.m)
-                    if i not in machine_sets[j]
-                    and mem[i] + size <= self.capacity * (1 + 1e-12)
-                ]
-                if not candidates:
+                mine = machine_sets[j]
+                k = resume[j]
+                while k < m and (by_load[k] in mine or mem[by_load[k]] + size > cap):
+                    k += 1
+                if k == m:
                     continue
-                target = min(candidates, key=lambda i: (loads[i], i))
-                machine_sets[j].add(target)
+                target = by_load[k]
+                mine.add(target)
                 mem[target] += size
-                progressed = True
+                resume[j] = k + 1
+                still_active.append(j)
+            active = still_active
         return Placement(
             instance,
             tuple(frozenset(s) for s in machine_sets),

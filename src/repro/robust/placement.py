@@ -13,6 +13,19 @@ two philosophies can be compared head-to-head (bench E15):
     currently most loaded).  Phase 2 is empty, as for any pinned
     placement.
 
+The search is first-improvement over single-task moves, starting from
+LPT.  Only a move off the unique most-loaded machine can lower the
+worst makespan, so only that machine's tasks are scored.  For such a
+task it scores all ``m`` destinations in one vectorized step, read off
+the ``(scenarios, m)`` load matrix without changing it, and takes the
+first destination that lowers the worst makespan by more than
+``1e-12``.  Only an accepted move touches the matrix: the two changed
+columns are summed again from the assignment, in task order.
+The search state is thus a function of the assignment alone; it cannot
+drift through add-and-undo rounding, and the reported
+``meta["trained_worst_makespan"]`` is exactly the returned assignment's
+objective.
+
 The punchline the bench verifies: scenario-optimization helps on the
 scenarios it trained on, but against the *adaptive* adversary of
 Theorem 1 no pinned placement can beat `α²m/(α²+m−1)` — flexibility, not
@@ -49,7 +62,7 @@ __all__ = ["RobustPinnedPlacement"]
             attr="iterations",
             ge=1,
             default=40,
-            doc="local-search reassignment passes",
+            doc="maximum first-improvement passes of the local search",
         ),
         Int("seed", default=0, doc="scenario sampling seed"),
     ),
@@ -58,7 +71,12 @@ __all__ = ["RobustPinnedPlacement"]
     capabilities=Capabilities(replication_factor="none", supports_batch=True),
 )
 class RobustPinnedPlacement(TwoPhaseStrategy):
-    """Min-max pinned assignment over sampled extreme scenarios.
+    """Min-max pinned assignment over sampled extreme scenarios, by vectorized local search.
+
+    Each pass visits the tasks in id order and moves a task to the first
+    machine (by index) whose worst makespan over the scenarios beats the
+    current one; the search ends after a pass with no move or after
+    ``iterations`` passes.
 
     Parameters
     ----------
@@ -91,38 +109,39 @@ class RobustPinnedPlacement(TwoPhaseStrategy):
             rows.append(est * factors)
         return np.stack(rows)
 
-    @staticmethod
-    def _worst_makespan(loads: np.ndarray) -> float:
-        """``loads``: (scenarios, m) per-scenario machine loads."""
-        return float(loads.max(axis=1).max())
-
     def place(self, instance: Instance) -> Placement:
         durations = self._scenario_matrix(instance)  # (s, n)
-        assignment = list(lpt_assignment_by_task(list(instance.estimates), instance.m))
-        s, m, n = durations.shape[0], instance.m, instance.n
-        loads = np.zeros((s, m))
-        for j, i in enumerate(assignment):
-            loads[:, i] += durations[:, j]
-
-        current = self._worst_makespan(loads)
+        assignment = lpt_assignment_by_task(list(instance.estimates), instance.m)
+        loads = _machine_loads(durations, assignment, range(instance.m))  # (s, m)
+        col_max = loads.max(axis=0)
+        top, runner_up = _top_two(col_max)
+        current = float(col_max[top])
         # First-improvement local search over single-task reassignments.
+        # Moving j from src to dst changes only columns src (which loses d)
+        # and dst (which gains d), so all m destinations are scored in one
+        # step without touching ``loads``.  A move off any machine but the
+        # unique most-loaded one leaves that machine's column, and so the
+        # worst makespan, as it is: only its tasks are scored, and none
+        # while another column is within 1e-12 of the worst.
         for _ in range(self.iterations):
             improved = False
-            for j in range(n):
-                src = assignment[j]
-                for dst in range(m):
-                    if dst == src:
-                        continue
-                    loads[:, src] -= durations[:, j]
-                    loads[:, dst] += durations[:, j]
-                    cand = self._worst_makespan(loads)
-                    if cand < current - 1e-12:
-                        assignment[j] = dst
-                        current = cand
-                        improved = True
-                        break
-                    loads[:, src] += durations[:, j]
-                    loads[:, dst] -= durations[:, j]
+            for j, src in enumerate(assignment):
+                if src != top or runner_up >= current - 1e-12:
+                    continue
+                d = durations[:, j]
+                rest = max(runner_up, float((loads[:, src] - d).max()))
+                cand = np.maximum((loads + d[:, None]).max(axis=0), rest)
+                cand[src] = np.inf
+                better = np.flatnonzero(cand < current - 1e-12)
+                if better.size == 0:
+                    continue
+                dst = int(better[0])
+                assignment[j] = dst
+                loads[:, [src, dst]] = _machine_loads(durations, assignment, (src, dst))
+                col_max[[src, dst]] = loads[:, [src, dst]].max(axis=0)
+                top, runner_up = _top_two(col_max)
+                current = float(col_max[top])
+                improved = True
             if not improved:
                 break
         return single_machine_placement(
@@ -133,3 +152,27 @@ class RobustPinnedPlacement(TwoPhaseStrategy):
 
     def make_policy(self, instance: Instance, placement: Placement) -> OnlinePolicy:
         return FixedOrderPolicy(instance.lpt_order())
+
+
+def _machine_loads(durations: np.ndarray, assignment: list[int], machines) -> np.ndarray:
+    """``(scenarios, len(machines))`` loads of ``machines`` under ``assignment``.
+
+    Each load is summed left to right in task order (``np.add.accumulate``
+    is sequential), the same additions as ``loads[:, i] += durations[:, j]``
+    over ``j``.  The search rebuilds a column this way whenever it changes,
+    so its state is a function of the assignment alone and never drifts
+    from the objective it reports.
+    """
+    machine_of = np.asarray(assignment)
+    loads = np.zeros((durations.shape[0], len(machines)))
+    for col, i in enumerate(machines):
+        on_i = durations[:, machine_of == i]
+        if on_i.shape[1]:
+            loads[:, col] = np.add.accumulate(on_i, axis=1)[:, -1]
+    return loads
+
+
+def _top_two(col_max: np.ndarray) -> tuple[int, float]:
+    """The first most-loaded machine and the largest load among the others."""
+    top = int(col_max.argmax())
+    return top, float(np.delete(col_max, top).max(initial=-np.inf))

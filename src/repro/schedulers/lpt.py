@@ -30,7 +30,10 @@ __all__ = ["lpt_schedule", "lpt_order", "critical_task", "lpt_assignment_by_task
 
 def lpt_order(times: Sequence[float]) -> list[int]:
     """Indices sorted by non-increasing time, ties broken by smaller index."""
-    ts = check_times(times)
+    return _lpt_order(check_times(times))
+
+
+def _lpt_order(ts: Sequence[float]) -> list[int]:
     return sorted(range(len(ts)), key=lambda j: (-ts[j], j))
 
 
@@ -45,7 +48,7 @@ def lpt_schedule(times: Sequence[float], m: int) -> AssignmentResult:
     """
     ts = check_times(times)
     check_machine_count(m)
-    return greedy_assign_heap(ts, lpt_order(ts), m)
+    return greedy_assign_heap(ts, _lpt_order(ts), m)
 
 
 def lpt_assignment_by_task(times: Sequence[float], m: int) -> list[int]:

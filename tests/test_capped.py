@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.analysis.ratios import run_strategy
@@ -103,3 +103,63 @@ class TestTradeoff:
         assert p.replication_count(0) == 1
         assert p.replication_count(2) == 1
         assert max(p.memory_per_machine()) <= 5.0
+
+
+def _full_scan_fill(strategy: CappedReplication, inst, base: list[int]):
+    """Reference replica fill: every round rescans all machines of all tasks.
+
+    The production fill walks the machines in one presorted order and drops
+    a task once nothing fits; this oracle recomputes the candidate list
+    from scratch each time and runs rounds until one adds nothing.
+    """
+    machine_sets = [{base[j]} for j in range(inst.n)]
+    mem = [0.0] * inst.m
+    loads = [0.0] * inst.m
+    for j, i in enumerate(base):
+        mem[i] += inst.tasks[j].size
+        loads[i] += inst.tasks[j].estimate
+    progressed = True
+    while progressed:
+        progressed = False
+        for j in inst.lpt_order():
+            size = inst.tasks[j].size
+            candidates = [
+                i
+                for i in range(inst.m)
+                if i not in machine_sets[j] and mem[i] + size <= strategy.capacity * (1 + 1e-12)
+            ]
+            if not candidates:
+                continue
+            target = min(candidates, key=lambda i: (loads[i], i))
+            machine_sets[j].add(target)
+            mem[target] += size
+            progressed = True
+    return tuple(frozenset(s) for s in machine_sets)
+
+
+class TestFillMatchesFullScan:
+    @given(
+        sized_instances(max_n=14, max_m=6),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from(("time", "memory", "auto")),
+    )
+    def test_same_machine_sets(self, inst, frac, pin):
+        low = min_feasible_capacity(inst)
+        cap = low + frac * (inst.total_size - low)
+        assume(cap > 0)
+        strategy = CappedReplication(cap, pin_by=pin)
+        try:
+            base = strategy._base_assignment(inst)
+        except ValueError:
+            with pytest.raises(ValueError):
+                strategy.place(inst)
+            return
+        assert strategy.place(inst).machine_sets == _full_scan_fill(strategy, inst, base)
+
+    @pytest.mark.parametrize("frac", (0.0, 0.05, 0.3, 0.7, 1.0))
+    def test_same_machine_sets_at_scale(self, frac):
+        inst = independent_sizes(120, 8, alpha=1.8, seed=5)
+        low = min_feasible_capacity(inst)
+        strategy = CappedReplication(low + frac * (inst.total_size - low))
+        base = strategy._base_assignment(inst)
+        assert strategy.place(inst).machine_sets == _full_scan_fill(strategy, inst, base)

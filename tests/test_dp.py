@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exact.bnb import branch_and_bound
-from repro.exact.dp import dp_load_vector, dp_two_machines, scale_to_integers
+from repro.exact.dp import dp_two_machines, scale_to_integers
 
 
 class TestScaleToIntegers:
@@ -47,35 +47,3 @@ class TestTwoMachineDp:
         assert dp_two_machines(times) == pytest.approx(
             branch_and_bound(times, 2).makespan
         )
-
-
-class TestLoadVectorDp:
-    def test_single_machine(self):
-        assert dp_load_vector([1.0, 2.0], 1) == 3.0
-
-    def test_n_le_m(self):
-        assert dp_load_vector([4.0, 2.0], 5) == 4.0
-
-    def test_known_instance(self):
-        assert dp_load_vector([3.0, 3.0, 2.0, 2.0, 2.0], 2) == 6.0
-
-    def test_three_machines(self):
-        assert dp_load_vector([5.0, 4.0, 3.0, 3.0, 3.0], 3) == 7.0
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.5, max_value=20.0, allow_nan=False),
-            min_size=1,
-            max_size=9,
-        ),
-        st.integers(min_value=1, max_value=3),
-    )
-    def test_matches_branch_and_bound(self, times, m):
-        assert dp_load_vector(times, m) == pytest.approx(
-            branch_and_bound(times, m).makespan
-        )
-
-    def test_state_limit_raises(self):
-        times = [float(1 + (j * 997) % 89) + 0.137 * j for j in range(14)]
-        with pytest.raises(RuntimeError, match="frontier"):
-            dp_load_vector(times, 3, state_limit=5)
